@@ -93,9 +93,7 @@ def load_column_values(path: Path) -> np.ndarray:
 
 
 def _config_from_args(args: argparse.Namespace) -> HistogramConfig:
-    return HistogramConfig(
-        q=args.q, theta=args.theta, kernel=getattr(args, "kernel", "vectorized")
-    )
+    return HistogramConfig(q=args.q, theta=args.theta)
 
 
 def _profile_sidecar(histogram_path: Path) -> Path:
@@ -186,7 +184,7 @@ def _cmd_build_table(args: argparse.Namespace) -> int:
     print(
         f"built {len(histograms)} {args.kind} histograms for table "
         f"{args.table!r} in {elapsed * 1e3:.1f} ms "
-        f"({args.executor} x{workers}, kernel={args.kernel})"
+        f"({args.executor} x{workers})"
     )
     if skipped:
         print(f"skipped {skipped} unworthy column(s) (tiny domain or unique key)")
@@ -771,10 +769,6 @@ def _build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--theta", type=float, default=None,
             help="inner theta (default: system policy)",
-        )
-        command.add_argument(
-            "--kernel", default="vectorized", choices=("vectorized", "literal"),
-            help="acceptance-test kernel (literal = paper-loop oracle)",
         )
 
     def add_profile_option(command) -> None:

@@ -16,8 +16,10 @@ Public surface:
 * :mod:`repro.core.builder` -- one-call build API with the system θ policy.
 * :mod:`repro.core.kernels` -- vectorized acceptance-test kernels and the
   per-build :class:`~repro.core.kernels.AcceptanceCache`.
+* :mod:`repro.core.search` -- the O(1) acceptance oracle behind
+  ``FindLargest``.
 * :mod:`repro.core.compiled` -- frozen numpy estimation plans serving
-  the read path (with :mod:`repro.core.batch` as a legacy view).
+  the read path.
 * :mod:`repro.core.parallel` -- parallel multi-column construction with
   catalog bulk-loading.
 * Extensions: :mod:`repro.core.mixed` (heterogeneous buckets),
@@ -36,7 +38,6 @@ from repro.core.builder import build_histogram, system_theta
 from repro.core.serialize import deserialize_histogram, serialize_histogram
 from repro.core.statistics import ColumnStatistics, StatisticsManager
 from repro.core.advisor import StatisticsAdvisor
-from repro.core.batch import CompiledHistogram, compile_histogram
 from repro.core.compiled import COMPILE_COUNTERS, CompileError
 from repro.core.catalog import StatisticsCatalog
 from repro.core.flexalpha import build_flexible_alpha
@@ -51,8 +52,6 @@ __all__ = [
     "build_column_histograms",
     "build_table_histograms",
     "StatisticsAdvisor",
-    "CompiledHistogram",
-    "compile_histogram",
     "COMPILE_COUNTERS",
     "CompileError",
     "StatisticsCatalog",

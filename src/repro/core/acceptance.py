@@ -12,14 +12,15 @@ estimator of that range (or an explicit α).  The ladder of tests:
   needs explicit checks; beyond it Theorem 4.2 guarantees
   θ,(q + 1/k)-acceptability.
 * :func:`is_theta_q_acceptable` -- the Sec. 4.4 combined test
-  (pretest, then MaxSize cut-off, then sub-quadratic), the building block
-  of the generate-and-test construction.
+  (pretest, then MaxSize cut-off, then sub-quadratic), the decision the
+  generate-and-test construction's acceptance oracle
+  (:mod:`repro.core.search`) reproduces.
 
-The combined test dispatches its sub-quadratic stage through a named
-kernel (``"vectorized"`` -- the batch implementation in
-:mod:`repro.core.kernels` -- or ``"literal"``, the per-endpoint loop
-below, kept as the correctness oracle) and can memoize decisions in an
-:class:`~repro.core.kernels.AcceptanceCache`.
+The combined test runs its sub-quadratic stage through the batch kernel
+of :mod:`repro.core.kernels`; the per-endpoint loops below
+(:func:`subquadratic_test` and the paper-literal
+:func:`subquadratic_test_literal`) are the references the kernels are
+tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.density import AttributeDensity
-from repro.core.kernels import AcceptanceCache, subquadratic_test_vectorized
+from repro.core.kernels import subquadratic_test_vectorized
 
 __all__ = [
     "quadratic_test",
@@ -171,15 +172,6 @@ def subquadratic_test(
     return True
 
 
-# The kernel registry: "vectorized" is the batch implementation of
-# repro.core.kernels; "literal" is the per-endpoint loop above, kept as
-# the executable rendering of the paper's Sec. 4.2 prose.
-_SUBQUADRATIC_KERNELS = {
-    "vectorized": subquadratic_test_vectorized,
-    "literal": subquadratic_test,
-}
-
-
 def is_theta_q_acceptable(
     density: AttributeDensity,
     l: int,
@@ -190,8 +182,6 @@ def is_theta_q_acceptable(
     k: float = 8.0,
     flexible_alpha: bool = False,
     alpha: Optional[float] = None,
-    kernel: str = "vectorized",
-    cache: Optional[AcceptanceCache] = None,
 ) -> bool:
     """The combined test of Sec. 4.4 (``isThetaQAcc``).
 
@@ -199,53 +189,17 @@ def is_theta_q_acceptable(
     2. Reject if the bucket holds more than ``max_size`` distinct values
        (the sub-quadratic test would be too expensive; the paper's
        MaxSize is 300).
-    3. Otherwise decide by the sub-quadratic test, run through the
-       selected ``kernel``.
+    3. Otherwise decide by the sub-quadratic test.
 
     ``alpha`` overrides the f̂avg slope; the generate-and-test builder
     uses this for a domain-clamped trailing bucklet whose estimation
-    slope is computed over the unclamped bucklet width.  A ``cache``
-    memoizes decisions per (range, θ, q, α-bucket), so doubling/binary
-    search probes that revisit a range answer in O(1).
+    slope is computed over the unclamped bucklet width.
     """
-    if kernel not in _SUBQUADRATIC_KERNELS:
-        raise ValueError(
-            f"unknown kernel {kernel!r}; pick from {sorted(_SUBQUADRATIC_KERNELS)}"
-        )
-    key = None
-    if cache is not None:
-        key = cache.decision_key(
-            l, u, theta, q, alpha,
-            k=k, max_size=max_size, flexible_alpha=flexible_alpha,
-        )
-        cached = cache.lookup_decision(key)
-        if cached is not None:
-            return cached
-    decision = _is_theta_q_acceptable_uncached(
-        density, l, u, theta, q, max_size, k, flexible_alpha, alpha, kernel
-    )
-    if cache is not None:
-        cache.store_decision(key, decision)
-    return decision
-
-
-def _is_theta_q_acceptable_uncached(
-    density: AttributeDensity,
-    l: int,
-    u: int,
-    theta: float,
-    q: float,
-    max_size: int,
-    k: float,
-    flexible_alpha: bool,
-    alpha: Optional[float],
-    kernel: str,
-) -> bool:
     if pretest_dense(density, l, u, theta, q, flexible_alpha=flexible_alpha, alpha=alpha):
         return True
     if (u - l) > max_size:
         return False
-    return _SUBQUADRATIC_KERNELS[kernel](density, l, u, theta, q, k=k, alpha=alpha)
+    return subquadratic_test_vectorized(density, l, u, theta, q, k=k, alpha=alpha)
 
 
 def subquadratic_test_literal(
@@ -270,7 +224,8 @@ def subquadratic_test_literal(
     numpy-windowed loop) and to
     :func:`~repro.core.kernels.subquadratic_test_vectorized` (the batch
     kernel used in production); kept as an executable rendering of the
-    paper's prose, with an equivalence property test.
+    paper's prose and as the reference of the equivalence property
+    tests.
     """
     if not 0 <= l < u <= density.n_distinct:
         raise IndexError(f"bucket [{l}, {u}) out of range")

@@ -23,44 +23,30 @@ __all__ = ["AttributeDensity", "DensityIndex"]
 
 
 class DensityIndex:
-    """Per-column prefix structures for O(1) acceptance oracles.
+    """Sparse range-max/min tables for O(1) acceptance oracles.
 
     Built once per :class:`AttributeDensity` (lazily, via
-    :meth:`AttributeDensity.ensure_index`) and cached on the density, so
-    every bucket search, repair and re-certification over the column
-    shares one copy:
+    :meth:`AttributeDensity.ensure_index`) and cached on the density.
+    Its one reader is the generate-and-test search's acceptance oracle
+    (:mod:`repro.core.search`), which needs range extrema; the
+    incremental builders never build it.
 
-    * ``cum_list`` -- the exclusive prefix sums as a plain Python list;
-      scalar probes read range totals without paying numpy scalar
-      boxing per lookup.
-    * ``max_table`` / ``min_table`` -- sparse tables (one row per
-      power-of-two window) over the frequencies; the classic RMQ
-      construction makes any range max/min two lookups.  Row ``k``
-      holds the extreme of windows ``[i, i + 2**k)``.
-
-    Row values are exact int64 extremes, so oracle decisions derived
-    from them are bit-identical to slicing ``frequencies[i:j]``.
+    ``max_table`` / ``min_table`` hold one row per power-of-two window
+    over the frequencies; the classic RMQ construction makes any range
+    max/min two lookups.  Row ``k`` holds the extreme of windows
+    ``[i, i + 2**k)``.  Row values are exact int64 extremes, so oracle
+    decisions derived from them are bit-identical to slicing
+    ``frequencies[i:j]``.
     """
 
-    __slots__ = (
-        "cum_list", "max_table", "min_table",
-        "_max_lists", "_min_lists", "_values", "_values_list",
-    )
+    __slots__ = ("max_table", "min_table", "_max_lists", "_min_lists")
 
     #: Sparse-table rows at or below this window size also keep a plain
     #: Python list mirror for scalar-speed lookups; wider windows (rare:
     #: only the doubling ladder's large probes) read the numpy rows.
     SCALAR_LEVEL_WIDTH = 4096
 
-    def __init__(
-        self,
-        frequencies: np.ndarray,
-        cumulative: np.ndarray,
-        values: Optional[np.ndarray] = None,
-    ) -> None:
-        self.cum_list: List[int] = cumulative.tolist()
-        self._values = values
-        self._values_list: Optional[List[float]] = None
+    def __init__(self, frequencies: np.ndarray) -> None:
         n = int(frequencies.size)
         levels = max(n.bit_length() - 1, 0) + 1
         max_table = np.empty((levels, n), dtype=np.int64)
@@ -80,8 +66,8 @@ class DensityIndex:
                 min_table[k - 1, half : half + span],
                 out=min_table[k, :span],
             )
-            # Pad the tail so fancy-indexed batch lookups never read
-            # uninitialised memory (padding cells are never selected).
+            # Pad the tail so no row holds uninitialised memory (padding
+            # cells are never selected).
             max_table[k, span:] = max_table[k, span - 1] if span > 0 else 0
             min_table[k, span:] = min_table[k, span - 1] if span > 0 else 0
         max_table.setflags(write=False)
@@ -95,18 +81,6 @@ class DensityIndex:
         self._min_lists: List[List[int]] = [
             min_table[k].tolist() for k in range(scalar_levels)
         ]
-
-    @property
-    def values_list(self) -> List[float]:
-        """The distinct values as plain Python floats (built lazily;
-        only the value-space builders read it)."""
-        if self._values_list is None:
-            if self._values is None:
-                raise ValueError("index was built without values")
-            self._values_list = self._values.tolist()
-        return self._values_list
-
-    # -- scalar O(1) range extrema ------------------------------------------
 
     def range_max(self, i: int, j: int) -> int:
         """``max(frequencies[i:j])`` in O(1); ``j > i`` required."""
@@ -131,28 +105,6 @@ class DensityIndex:
             row = self.min_table[k]
             a, b = int(row[i]), int(row[left])
         return a if a <= b else b
-
-    # -- vectorized O(1)-per-range extrema ----------------------------------
-
-    def _levels_of(self, widths: np.ndarray) -> np.ndarray:
-        # floor(log2(w)) for w >= 1; frexp is exact for widths < 2**53.
-        return np.frexp(widths.astype(np.float64))[1].astype(np.int64) - 1
-
-    def range_max_batch(self, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-        """Per-range ``max(frequencies[l:u])`` for a whole batch."""
-        levels = self._levels_of(uppers - lowers)
-        rights = uppers - (np.int64(1) << levels)
-        return np.maximum(
-            self.max_table[levels, lowers], self.max_table[levels, rights]
-        )
-
-    def range_min_batch(self, lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
-        """Per-range ``min(frequencies[l:u])`` for a whole batch."""
-        levels = self._levels_of(uppers - lowers)
-        rights = uppers - (np.int64(1) << levels)
-        return np.minimum(
-            self.min_table[levels, lowers], self.min_table[levels, rights]
-        )
 
 
 class AttributeDensity:
@@ -190,6 +142,8 @@ class AttributeDensity:
         self._cum = np.concatenate(([0], np.cumsum(frequencies)))
         self._dense = dense
         self._index: Optional[DensityIndex] = None
+        self._cum_list: Optional[List[int]] = None
+        self._values_list: Optional[List[float]] = None
 
     @classmethod
     def from_column(cls, column) -> "AttributeDensity":
@@ -246,22 +200,39 @@ class AttributeDensity:
         view.flags.writeable = False
         return view
 
-    # -- prefix index -------------------------------------------------------
+    @property
+    def cum_list(self) -> List[int]:
+        """:attr:`cumulative` as a plain Python list (built on first use).
+
+        The scalar search loops read range totals from it without paying
+        numpy scalar boxing per lookup.
+        """
+        if self._cum_list is None:
+            self._cum_list = self._cum.tolist()
+        return self._cum_list
+
+    @property
+    def values_list(self) -> List[float]:
+        """:attr:`values` as plain Python floats (built on first use)."""
+        if self._values_list is None:
+            self._values_list = self._values.tolist()
+        return self._values_list
+
+    # -- range-extrema index --------------------------------------------------
 
     @property
     def has_index(self) -> bool:
-        """True once :meth:`ensure_index` has built the prefix structures."""
+        """True once :meth:`ensure_index` has built the range-extrema tables."""
         return self._index is not None
 
     def ensure_index(self) -> DensityIndex:
         """Build (once) and return the per-column :class:`DensityIndex`.
 
-        The index is cached on the density, so repeated builds, repairs
-        and re-certifications over the same column amortize one
-        construction pass.
+        The index is cached on the density, so repeated searches over the
+        same column amortize one construction pass.
         """
         if self._index is None:
-            self._index = DensityIndex(self._freqs, self._cum, self._values)
+            self._index = DensityIndex(self._freqs)
         return self._index
 
     def range_max(self, i: int, j: int) -> int:

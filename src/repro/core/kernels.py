@@ -20,9 +20,9 @@ holds the batch implementations that make those tests cheap:
   α-feasibility constraints of the QVWH/value-based incremental
   builders, shared between dense (index-space) and non-dense
   (value-space) construction.
-* :class:`AcceptanceCache` -- a per-build memo for acceptance decisions
-  and slope constraints, so ``FindLargest`` doubling/binary search and
-  the QVWH α-bound loop never recompute an identical range.
+* :class:`AcceptanceCache` -- a per-build memo for exact acceptance
+  decisions, so ``FindLargest`` doubling/binary search never re-runs the
+  grid on a range it has already resolved.
 
 Decision equivalence: the vectorized kernel reproduces the scalar
 kernels' comparisons on the *same float64 values* (estimates are taken
@@ -53,14 +53,9 @@ __all__ = [
     "value_slope_constraints_scalar",
     "count_slope_constraints_scalar",
     "AcceptanceCache",
-    "KERNEL_NAMES",
     "PAIR_CHUNK",
     "MATRIX_STRATEGY_MAX",
 ]
-
-# Valid values for HistogramConfig.kernel; "literal" is the Sec. 4.2
-# prose rendering kept as the correctness oracle.
-KERNEL_NAMES = ("vectorized", "literal")
 
 # Upper bound on materialised (i, j) pairs per evaluation chunk; windows
 # beyond this are processed in slices to bound peak memory.
@@ -309,11 +304,8 @@ def pretest_dense_batch(
     condition holds for that range (``False`` still means "run a real
     test").  Range extrema come from one ``np.maximum.reduceat`` /
     ``np.minimum.reduceat`` pass over interleaved boundaries instead of
-    a Python call per range.  Once the density carries a
-    :class:`~repro.core.density.DensityIndex`, extrema come from two
-    sparse-table lookups per range instead (same exact integers, no
-    frequency-array scan at all).  ``totals`` lets a caller that already
-    cumulated each range (the builders all have) skip the recompute.
+    a Python call per range.  ``totals`` lets a caller that already
+    cumulated each range skip the recompute.
     """
     lowers = np.asarray(lowers, dtype=np.int64)
     uppers = np.asarray(uppers, dtype=np.int64)
@@ -330,27 +322,22 @@ def pretest_dense_batch(
     else:
         totals = np.asarray(totals, dtype=np.float64)
 
-    if density.has_index:
-        index = density.ensure_index()
-        fmax = index.range_max_batch(lowers, uppers).astype(np.float64)
-        fmin = index.range_min_batch(lowers, uppers).astype(np.float64)
+    # Interleave [l0, u0, l1, u1, ...]; even segments are the ranges,
+    # odd segments are discarded.  reduceat indices must stay below the
+    # array length, so only a batch whose upper bound touches the domain
+    # end needs a sentinel element appended (copying the frequency array
+    # on every call would dominate small batches).
+    freqs = density.frequencies
+    idx = np.empty(2 * lowers.size, dtype=np.int64)
+    idx[0::2] = lowers
+    idx[1::2] = uppers
+    if int(uppers.max()) == d:
+        fmax_src = np.concatenate((freqs, [0]))
+        fmin_src = np.concatenate((freqs, [np.iinfo(np.int64).max]))
     else:
-        # Interleave [l0, u0, l1, u1, ...]; even segments are the ranges,
-        # odd segments are discarded.  reduceat indices must stay below the
-        # array length, so only a batch whose upper bound touches the domain
-        # end needs a sentinel element appended (copying the frequency array
-        # on every call would dominate small batches).
-        freqs = density.frequencies
-        idx = np.empty(2 * lowers.size, dtype=np.int64)
-        idx[0::2] = lowers
-        idx[1::2] = uppers
-        if int(uppers.max()) == d:
-            fmax_src = np.concatenate((freqs, [0]))
-            fmin_src = np.concatenate((freqs, [np.iinfo(np.int64).max]))
-        else:
-            fmax_src = fmin_src = freqs
-        fmax = np.maximum.reduceat(fmax_src, idx)[0::2].astype(np.float64)
-        fmin = np.minimum.reduceat(fmin_src, idx)[0::2].astype(np.float64)
+        fmax_src = fmin_src = freqs
+    fmax = np.maximum.reduceat(fmax_src, idx)[0::2].astype(np.float64)
+    fmin = np.minimum.reduceat(fmin_src, idx)[0::2].astype(np.float64)
 
     if flexible_alpha:
         balanced = fmax <= q * q * fmin
@@ -518,8 +505,8 @@ def count_slope_constraints_scalar(
     """Scalar distinct-count-slope constraints: truths are the interval
     distinct counts ``j - i`` over value-space widths ``w_j - x_i``.
 
-    Bit-identical to :func:`batch_slope_constraints` over the
-    ``arange``/width arrays the classic value-based loop builds.
+    Bit-identical to :func:`batch_slope_constraints` over the count
+    array ``j - i`` and the value-space width array.
     """
     lb = 0.0
     ub = math.inf
@@ -565,26 +552,22 @@ def _alpha_bucket(alpha: Optional[float]) -> Hashable:
 
 
 class AcceptanceCache:
-    """Per-build memo for acceptance decisions and slope constraints.
+    """Per-build memo for exact acceptance decisions.
 
-    ``FindLargest`` doubling + binary search and the QVWH α-bound loop
-    repeatedly touch ranges they have already resolved (domain-clamped
-    trailing bucklets recur across widths; the first right endpoint of
-    each bucklet re-scans the window of the previous failure).  Keys
-    are ``(l, u, theta, q, alpha-bucket)`` plus the test knobs; α is
-    bucketed to 40 mantissa bits so recomputed-but-identical slopes hit.
+    ``FindLargest`` doubling + binary search can touch a range it has
+    already resolved (domain-clamped trailing bucklets recur across
+    widths).  Keys are ``(l, u, theta, q, alpha-bucket)`` plus the test
+    knobs; α is bucketed to 40 mantissa bits so recomputed-but-identical
+    slopes hit.
     """
 
     def __init__(self) -> None:
         self._decisions: Dict[Tuple, bool] = {}
-        self._constraints: Dict[Tuple, Tuple[float, float]] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._decisions) + len(self._constraints)
-
-    # -- acceptance decisions ---------------------------------------------
+        return len(self._decisions)
 
     def decision_key(
         self,
@@ -608,38 +591,6 @@ class AcceptanceCache:
     def store_decision(self, key: Tuple, accepted: bool) -> bool:
         self._decisions[key] = accepted
         return accepted
-
-    # -- slope constraints -------------------------------------------------
-
-    def lookup_constraints(self, key: Tuple) -> Optional[Tuple[float, float]]:
-        """Cached (lb, ub) for a constraint key, or ``None`` on a miss.
-
-        Index-space keys are ``(i_low, j, theta, q)``; value-space
-        callers prefix a tag (e.g. ``("value", ...)``) so the two key
-        spaces can share one cache without colliding.
-        """
-        found = self._constraints.get(key)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
-
-    def store_constraints(
-        self, key: Tuple, bounds: Tuple[float, float]
-    ) -> Tuple[float, float]:
-        self._constraints[key] = bounds
-        return bounds
-
-    def constraints(
-        self, cum: np.ndarray, i_low: int, j: int, theta: float, q: float
-    ) -> Tuple[float, float]:
-        """Memoized :func:`slope_constraints`."""
-        key = (i_low, j, theta, q)
-        found = self.lookup_constraints(key)
-        if found is not None:
-            return found
-        return self.store_constraints(key, slope_constraints(cum, i_low, j, theta, q))
 
     def __repr__(self) -> str:
         return (

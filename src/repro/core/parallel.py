@@ -12,12 +12,8 @@ Columns cross the process boundary as (name, frequencies, values)
 payloads and histograms come back serialized, so both the thread and the
 process executor see identical, picklable traffic; results are
 deterministic and independent of worker scheduling.  Each worker runs
-the shared :mod:`repro.engine` pipeline, so the oracle bucket search
-comes along for free: the worker's pipeline builds the column's
-:class:`~repro.core.density.DensityIndex` during its ``density_scan``
-span and threads one per-build :class:`~repro.core.kernels.AcceptanceCache`
-through the search.  (Caches are keyed by in-column ranges, so they are
-deliberately *not* shared across columns.)  With tracing requested, the
+the shared :mod:`repro.engine` pipeline, so every column gets the same
+bucket search as a direct build.  With tracing requested, the
 per-build phase/counter profile -- including ``search_probes``,
 ``oracle_certified``/``oracle_refuted`` and ``acceptance_cache_hits`` --
 travels back beside the histogram bytes.

@@ -4,7 +4,8 @@
 current bucket boundary it searches for the largest bucklet width ``m``
 such that all eight bucklets of width ``m`` are individually
 θ,q-acceptable (``FindLargest``: doubling followed by binary search,
-using the combined acceptance test of Sec. 4.4).  Each bucket is encoded
+using the combined acceptance test of Sec. 4.4, answered by the O(1)
+:class:`~repro.core.search.AcceptanceOracle`).  Each bucket is encoded
 as a 64-bit QC16T8x6 word.  This is the ``F8Dgt`` variant of the
 evaluation.
 """
@@ -15,157 +16,15 @@ import math
 from typing import List, Optional
 
 from repro.compression.layouts import BucketLayout, QC16T8x6
-from repro.core.acceptance import is_theta_q_acceptable, pretest_dense
 from repro.core.buckets import EquiWidthBucket
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.histogram import Histogram
-from repro.core.kernels import (
-    MATRIX_STRATEGY_MAX,
-    AcceptanceCache,
-    acceptance_matrix_batch,
-    pretest_dense_batch,
-)
+from repro.core.kernels import AcceptanceCache
+from repro.core.search import AcceptanceOracle, ProbeResult
 from repro.obs import NULL_TRACE
 
 __all__ = ["find_largest", "build_qewh"]
-
-# Probes whose stacked acceptance grid has at most this many cells go
-# straight to the matrix kernel; bigger ones try the batch pretest first.
-_DIRECT_MATRIX_CELLS = 4096
-
-
-def _bucklets_acceptable(
-    density: AttributeDensity,
-    l: int,
-    m: int,
-    theta: float,
-    q: float,
-    config: HistogramConfig,
-    n_bucklets: int = 8,
-    max_bucklet_total: float = float("inf"),
-    cache: Optional[AcceptanceCache] = None,
-    trace=NULL_TRACE,
-) -> bool:
-    """True iff every one of the ``n_bucklets`` width-``m`` bucklets
-    starting at ``l`` is θ,q-acceptable for its f̂avg estimator *and*
-    its total fits the payload layout's compressible range.
-
-    Bucklets clipped by the domain end are tested with the slope the
-    estimator will actually use (bucklet total over the *unclipped*
-    width ``m``).  With the vectorized kernel the whole probe costs two
-    batch dispatches: one shared pretest, then one stacked acceptance
-    grid over whatever the pretest (and the ``cache``) cannot resolve.
-    """
-    d = density.n_distinct
-    lowers = []
-    uppers = []
-    alphas = []
-    totals = []
-    for i in range(n_bucklets):
-        lo = l + i * m
-        hi = lo + m
-        if lo >= d:
-            break  # fully past the domain: empty, trivially acceptable
-        clipped = min(hi, d)
-        total = density.f_plus(lo, clipped)
-        if total > max_bucklet_total:
-            return False
-        lowers.append(lo)
-        uppers.append(clipped)
-        alphas.append(total / m)
-        totals.append(total)
-    trace.count("acceptance_tests", len(lowers))
-    if config.kernel != "vectorized":
-        return all(
-            is_theta_q_acceptable(
-                density,
-                lo,
-                clipped,
-                theta,
-                q,
-                max_size=config.max_pretest_size,
-                alpha=alpha,
-                kernel=config.kernel,
-                cache=cache,
-            )
-            for lo, clipped, alpha in zip(lowers, uppers, alphas)
-        )
-    # For probes whose stacked acceptance grid is tiny, running the
-    # pretest first costs more dispatches than it can save -- and for
-    # sizes within MaxSize the matrix decides identically (a certified
-    # bucket is truly θ,q-acceptable, so every pair passes).  Larger
-    # probes keep the pretest-first shortcut: one cheap batch often
-    # certifies all eight bucklets and skips the O(m^2) grid.
-    certified = None
-    if (
-        m > config.max_pretest_size
-        or m > MATRIX_STRATEGY_MAX
-        or len(lowers) * m * m > _DIRECT_MATRIX_CELLS
-    ):
-        certified = pretest_dense_batch(
-            density, lowers, uppers, theta, q, alphas=alphas, totals=totals
-        )
-        if bool(certified.all()):
-            return True
-    # Combined-test semantics for the rest: an unpretested bucklet gets a
-    # scalar-pretest appeal if the grid rejects it, an uncertified one
-    # larger than MaxSize is rejected outright, and everything else goes
-    # through the cache and then one stacked matrix evaluation.
-    keys = []
-    pending = []
-    for position, (lo, clipped, alpha) in enumerate(zip(lowers, uppers, alphas)):
-        if certified is not None and certified[position]:
-            continue
-        if clipped - lo > config.max_pretest_size:
-            return False
-        if cache is not None:
-            key = cache.decision_key(
-                lo, clipped, theta, q, alpha,
-                k=8.0, max_size=config.max_pretest_size, flexible_alpha=False,
-            )
-            cached = cache.lookup_decision(key)
-            if cached is not None:
-                if not cached:
-                    return False
-                continue
-            keys.append(key)
-        else:
-            keys.append(None)
-        pending.append((lo, clipped, alpha))
-    if not pending:
-        return True
-    if max(clipped - lo for lo, clipped, _ in pending) > MATRIX_STRATEGY_MAX:
-        # MaxSize raised beyond the grid bound: fall back to one
-        # (equivalent) kernel call per bucklet.
-        return all(
-            is_theta_q_acceptable(
-                density, lo, clipped, theta, q,
-                max_size=config.max_pretest_size, alpha=alpha,
-                kernel=config.kernel, cache=cache,
-            )
-            for lo, clipped, alpha in pending
-        )
-    decisions = acceptance_matrix_batch(
-        density,
-        [lo for lo, _, _ in pending],
-        [clipped for _, clipped, _ in pending],
-        theta,
-        q,
-        alphas=[alpha for _, _, alpha in pending],
-    )
-    accepted = True
-    for key, decision, (lo, clipped, alpha) in zip(keys, decisions, pending):
-        decision = bool(decision)
-        if not decision and certified is None:
-            # The pretest was skipped; honour its (sufficient) verdict so
-            # the decision matches the combined test bit-for-bit even if
-            # rounding ever made the grid stricter than Theorem 4.3.
-            decision = pretest_dense(density, lo, clipped, theta, q, alpha=alpha)
-        if cache is not None:
-            cache.store_decision(key, decision)
-        accepted &= decision
-    return accepted
 
 
 def find_largest(
@@ -178,51 +37,97 @@ def find_largest(
     max_bucklet_total: float = float("inf"),
     cache: Optional[AcceptanceCache] = None,
     trace=NULL_TRACE,
+    oracle: Optional[AcceptanceOracle] = None,
+    warm: int = 0,
 ) -> int:
     """Fig. 5's ``FindLargest``: the maximal bucklet width ``m`` at ``l``.
 
-    Doubles ``m`` until some bucklet fails the acceptance test, then
-    binary-searches the maximal acceptable width in between.  Width 1 is
-    always acceptable on a dense domain (a single-value bucklet estimates
-    itself exactly), so the result is at least 1.  A shared ``cache``
-    answers any range the doubling/binary-search probes revisit without
-    re-testing it.
+    Doubles ``m`` (``m <- min(2m, m_cap)``) until some bucklet fails the
+    acceptance test, then bisects (``(good + bad) // 2``) to the maximal
+    acceptable width in between.  Width 1 is always acceptable on a
+    dense domain (a single-value bucklet estimates itself exactly), so
+    the result is at least 1.  A bucklet whose total exceeds
+    ``max_bucklet_total`` (the payload layout's range) fails.
+
+    Each probe's verdict is a pure function of its width, so the first
+    ladder failure -- and hence every later midpoint -- does not depend
+    on evaluation order.  ``warm`` (the previous bucket's accepted
+    width) therefore only sizes the *speculative chunk*: how many ladder
+    widths are evaluated, with their ambiguous bucklets resolved in one
+    stacked kernel dispatch, before checking for the first failure.
+    Pass one ``oracle`` (or at least one ``cache``) per build so every
+    bucket shares the index and the decision memo.
     """
     d = density.n_distinct
     if not 0 <= l < d:
         raise IndexError(f"start {l} outside domain [0, {d})")
-    acceptance = trace.timer("acceptance_tests")
+    if oracle is None:
+        oracle = AcceptanceOracle(density, theta, q, config, cache=cache)
     # A bucket never needs to reach past the domain end by more than one
     # bucklet's worth of padding.
     m_cap = max(1, math.ceil((d - l) / n_bucklets))
-    # Width 1 is acceptable by construction: a single-value bucklet's
-    # f̂avg answers its only query exactly.
+    if m_cap <= 1:
+        return 1
+    probe = oracle.probe
     m_good = 1
     m_bad = m_cap + 1
-    while m_good < m_cap:
-        m_next = min(2 * m_good, m_cap)
-        with acceptance:
-            accepted = _bucklets_acceptable(
-                density, l, m_next, theta, q, config, n_bucklets,
-                max_bucklet_total, cache, trace,
-            )
-        if accepted:
-            m_good = m_next
-        else:
-            m_bad = m_next
-            break
-    # Largest acceptable m in [m_good, m_bad).
-    while m_bad - m_good > 1:
-        mid = (m_good + m_bad) // 2
-        with acceptance:
-            accepted = _bucklets_acceptable(
-                density, l, mid, theta, q, config, n_bucklets,
-                max_bucklet_total, cache, trace,
-            )
-        if accepted:
-            m_good = mid
-        else:
-            m_bad = mid
+    speculate = 2 * warm if warm > 1 else 2
+    with trace.timer("acceptance_tests"):
+        while m_good < m_cap:
+            # One speculative chunk of the canonical doubling ladder.
+            chunk: List[int] = []
+            width = m_good
+            while True:
+                width *= 2
+                if width >= m_cap:
+                    chunk.append(m_cap)
+                    break
+                chunk.append(width)
+                if width >= speculate:
+                    break
+            statuses: List[ProbeResult] = []
+            for width in chunk:
+                status = probe(l, width, n_bucklets, max_bucklet_total)
+                statuses.append(status)
+                if status is False:
+                    break  # wider widths cannot change the first failure
+            pending_all = [
+                cell
+                for status in statuses
+                if type(status) is list
+                for cell in status
+            ]
+            grid = oracle.resolve(pending_all) if pending_all else []
+            cursor = 0
+            fail = -1
+            for offset, status in enumerate(statuses):
+                if type(status) is list:
+                    span = len(status)
+                    accepted = all(grid[cursor : cursor + span])
+                    cursor += span
+                else:
+                    accepted = status
+                if not accepted:
+                    fail = offset
+                    break
+            if fail >= 0:
+                m_bad = chunk[fail]
+                if fail > 0:
+                    m_good = chunk[fail - 1]
+                break
+            m_good = chunk[-1]
+            speculate = m_good * 8
+        # Largest acceptable m in [m_good, m_bad).
+        while m_bad - m_good > 1:
+            mid = (m_good + m_bad) // 2
+            status = probe(l, mid, n_bucklets, max_bucklet_total)
+            if type(status) is list:
+                status = all(oracle.resolve(status))
+            if status:
+                m_good = mid
+            else:
+                m_bad = mid
+    oracle.flush(trace)
     return m_good
 
 
@@ -231,7 +136,6 @@ def build_qewh(
     config: HistogramConfig = HistogramConfig(),
     layout: BucketLayout = QC16T8x6,
     trace=None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Fig. 5's ``BuildQEWH``: generate-and-test equi-width construction.
 
@@ -239,12 +143,7 @@ def build_qewh(
     simple layout of Table 3 works, e.g. QC16x4 for sixteen narrower
     bucklets or BQC8x8 for binary-q payloads.  ``trace`` (a
     :class:`repro.obs.Trace`) accumulates acceptance-test/packing phase
-    timings and counters; ``None`` disables instrumentation.  With
-    ``config.search == "oracle"`` the outer search runs through the O(1)
-    sparse-table acceptance oracle (:mod:`repro.core.search`) — same
-    boundaries and certificates, far fewer kernel dispatches.  ``cache``
-    lets callers (the engine pipeline, ``repair_histogram``) share one
-    :class:`AcceptanceCache` across builds over the same density.
+    timings and counters; ``None`` disables instrumentation.
     """
     trace = trace if trace is not None else NULL_TRACE
     if not density.is_dense:
@@ -262,50 +161,23 @@ def build_qewh(
             "larger base or wider fields"
         )
     buckets: List[EquiWidthBucket] = []
-    if cache is None:
-        cache = AcceptanceCache()
     packing = trace.timer("packing")
-    oracle = None
-    if config.oracle_search:
-        from repro.core.search import AcceptanceOracle, find_largest_oracle
-
-        oracle = AcceptanceOracle(density, theta, q, config, cache=cache)
+    oracle = AcceptanceOracle(density, theta, q, config, cache=AcceptanceCache())
+    cum = density.cum_list
     b = 0
     warm = 0
     while b < d:
-        if oracle is not None:
-            m = find_largest_oracle(
-                density, b, theta, q, config,
-                n_bucklets=n, max_bucklet_total=capacity,
-                cache=cache, trace=trace, oracle=oracle, warm=warm,
-            )
-        else:
-            m = find_largest(
-                density,
-                b,
-                theta,
-                q,
-                config,
-                n_bucklets=n,
-                max_bucklet_total=capacity,
-                cache=cache,
-                trace=trace,
-            )
+        m = find_largest(
+            density, b, theta, q, config,
+            n_bucklets=n, max_bucklet_total=capacity,
+            trace=trace, oracle=oracle, warm=warm,
+        )
         warm = m
         with packing:
-            if oracle is not None:
-                # Same integers as f_plus, read off the Python-list
-                # prefix sums (no per-bucklet numpy round trips).
-                cum = oracle.cum
-                freqs = [
-                    cum[min(b + (i + 1) * m, d)] - cum[min(b + i * m, d)]
-                    for i in range(n)
-                ]
-            else:
-                freqs = [
-                    density.f_plus(min(b + i * m, d), min(b + (i + 1) * m, d))
-                    for i in range(n)
-                ]
+            freqs = [
+                cum[min(b + (i + 1) * m, d)] - cum[min(b + i * m, d)]
+                for i in range(n)
+            ]
             buckets.append(EquiWidthBucket.build(b, m, freqs, layout=layout))
         b += n * m
     trace.count("buckets", len(buckets))

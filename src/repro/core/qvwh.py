@@ -19,8 +19,8 @@ Corollary 4.2 (computed from the most pessimistic -- smallest -- α seen
 so far, so the window dominates the bound for every α the bucket has
 taken); this is the ``incB`` family of the evaluation.
 
-With ``config.search == "oracle"`` the per-step constraints run through
-:func:`~repro.core.kernels.slope_constraints_scalar` over the column's
+The per-step constraints run through
+:func:`~repro.core.kernels.slope_constraints_scalar` over the density's
 Python-list prefix sums (the bounded windows typically hold a handful
 of intervals, where a numpy dispatch costs more than the arithmetic),
 falling back to the batch kernel for wide windows.  Both compute the
@@ -36,11 +36,7 @@ from repro.core.buckets import AtomicDenseBucket, VariableWidthBucket
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.histogram import Histogram
-from repro.core.kernels import (
-    AcceptanceCache,
-    slope_constraints,
-    slope_constraints_scalar,
-)
+from repro.core.kernels import slope_constraints, slope_constraints_scalar
 from repro.obs import NULL_TRACE
 
 __all__ = [
@@ -76,93 +72,21 @@ def grow_bucklet(
     theta: float,
     q: float,
     bounded: bool = True,
-    stats: "GrowStats" = None,
-    cache: AcceptanceCache = None,
+    stats: Optional[GrowStats] = None,
     trace=NULL_TRACE,
-    use_oracle: bool = False,
 ) -> int:
     """Longest prefix ``[l, l + m)`` that stays θ,q-acceptable for f̂avg.
 
     Returns ``m`` with ``0 <= m <= m_max``; at least 1 whenever
     ``m_max >= 1`` (a single dense value always estimates itself
-    exactly).  A shared ``cache`` memoizes the per-(window, right
-    endpoint) slope constraints, which recur when the next bucklet's
-    first extension re-scans the window of the previous failure.
-    ``use_oracle`` selects the scalar fast path (bit-identical growth,
-    far fewer kernel dispatches).
+    exactly).
     """
     if m_max <= 0:
         return 0
     if not 0 <= l < density.n_distinct:
         raise IndexError(f"start {l} out of range")
     m_max = min(m_max, density.n_distinct - l)
-    if use_oracle:
-        return _grow_bucklet_oracle(
-            density, l, m_max, theta, q, bounded, stats, cache, trace
-        )
-    cum = density.cumulative
-    base = int(cum[l])
-    acceptance = trace.timer("acceptance_tests")
-
-    alpha_lb = 0.0
-    alpha_ub = math.inf
-    alpha_min = math.inf
-    tests = 0
-    scanned = 0
-    try:
-        for m in range(1, m_max + 1):
-            j = l + m
-            total = float(cum[j] - base)
-            alpha = total / m
-            alpha_min = min(alpha_min, alpha)
-            if bounded:
-                # Corollary 4.2 window: minimal violations are narrower than
-                # 2 theta n / f+ + 3 = 2 theta / alpha + 3.  Using the
-                # smallest alpha the growing bucket has seen keeps the window
-                # valid for every slope the bucket has taken.
-                window = math.ceil(2.0 * theta / alpha_min) + 3
-                i_low = max(l, j - window)
-            else:
-                i_low = l
-            if stats is not None:
-                stats.intervals_scanned += j - i_low
-            tests += 1
-            scanned += j - i_low
-            with acceptance:
-                if cache is not None:
-                    lb_new, ub_new = cache.constraints(cum, i_low, j, theta, q)
-                else:
-                    lb_new, ub_new = slope_constraints(cum, i_low, j, theta, q)
-            alpha_lb = max(alpha_lb, lb_new)
-            alpha_ub = min(alpha_ub, ub_new)
-            if alpha < alpha_lb or alpha > alpha_ub:
-                return m - 1
-        return m_max
-    finally:
-        trace.count("acceptance_tests", tests)
-        trace.count("intervals_scanned", scanned)
-
-
-def _grow_bucklet_oracle(
-    density: AttributeDensity,
-    l: int,
-    m_max: int,
-    theta: float,
-    q: float,
-    bounded: bool,
-    stats: Optional[GrowStats],
-    cache: Optional[AcceptanceCache],
-    trace,
-) -> int:
-    """The ``use_oracle`` body of :func:`grow_bucklet`.
-
-    Same α-bound recurrence on the same float64 values; constraints come
-    from the cache, the scalar mirror, or (wide windows) the batch
-    kernel — all three bit-identical — so the grown width matches the
-    classic loop exactly.
-    """
-    index = density.ensure_index()
-    cum = index.cum_list
+    cum = density.cum_list
     np_cum = density.cumulative
     base = cum[l]
     alpha_lb = 0.0
@@ -170,7 +94,6 @@ def _grow_bucklet_oracle(
     alpha_min = math.inf
     tests = 0
     scanned = 0
-    cache_hits = 0
     try:
         with trace.timer("acceptance_tests"):
             for m in range(1, m_max + 1):
@@ -180,6 +103,10 @@ def _grow_bucklet_oracle(
                 if alpha < alpha_min:
                     alpha_min = alpha
                 if bounded:
+                    # Corollary 4.2 window: minimal violations are narrower
+                    # than 2 theta n / f+ + 3 = 2 theta / alpha + 3.  Using
+                    # the smallest alpha the growing bucket has seen keeps
+                    # the window valid for every slope the bucket has taken.
                     window = math.ceil(2.0 * theta / alpha_min) + 3
                     i_low = j - window
                     if i_low < l:
@@ -188,21 +115,10 @@ def _grow_bucklet_oracle(
                     i_low = l
                 tests += 1
                 scanned += j - i_low
-                bounds = None
-                key = None
-                if cache is not None:
-                    key = (i_low, j, theta, q)
-                    bounds = cache.lookup_constraints(key)
-                if bounds is None:
-                    if j - i_low <= _SCALAR_WINDOW:
-                        bounds = slope_constraints_scalar(cum, i_low, j, theta, q)
-                    else:
-                        bounds = slope_constraints(np_cum, i_low, j, theta, q)
-                    if key is not None:
-                        cache.store_constraints(key, bounds)
+                if j - i_low <= _SCALAR_WINDOW:
+                    lb_new, ub_new = slope_constraints_scalar(cum, i_low, j, theta, q)
                 else:
-                    cache_hits += 1
-                lb_new, ub_new = bounds
+                    lb_new, ub_new = slope_constraints(np_cum, i_low, j, theta, q)
                 if lb_new > alpha_lb:
                     alpha_lb = lb_new
                 if ub_new < alpha_ub:
@@ -216,8 +132,6 @@ def _grow_bucklet_oracle(
         trace.count("acceptance_tests", tests)
         trace.count("search_probes", tests)
         trace.count("intervals_scanned", scanned)
-        if cache_hits:
-            trace.count("acceptance_cache_hits", cache_hits)
 
 
 def _grow_bucket(
@@ -226,11 +140,9 @@ def _grow_bucket(
     theta: float,
     q: float,
     bounded: bool,
-    stats: GrowStats = None,
-    cache: AcceptanceCache = None,
+    stats: Optional[GrowStats] = None,
     trace=NULL_TRACE,
     stop: Optional[int] = None,
-    use_oracle: bool = False,
 ) -> Tuple[List[int], List[int], int]:
     """Grow one 8-bucklet bucket from ``start`` (Fig. 6's outer loop body).
 
@@ -245,8 +157,7 @@ def _grow_bucket(
     totals: List[int] = []
     pos = start
     m0 = grow_bucklet(
-        density, pos, d - pos, theta, q, bounded=bounded, stats=stats, cache=cache,
-        trace=trace, use_oracle=use_oracle,
+        density, pos, d - pos, theta, q, bounded=bounded, stats=stats, trace=trace
     )
     m0 = max(m0, 1)
     widths.append(m0)
@@ -264,8 +175,7 @@ def _grow_bucket(
         else:
             cap = min(MAX_BOUNDED_BUCKLET, d - pos)
         m = grow_bucklet(
-            density, pos, cap, theta, q, bounded=bounded, stats=stats, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, pos, cap, theta, q, bounded=bounded, stats=stats, trace=trace
         )
         m = max(m, 1) if cap >= 1 else 0
         widths.append(m)
@@ -277,18 +187,15 @@ def _grow_bucket(
 def build_qvwh(
     density: AttributeDensity,
     config: HistogramConfig = HistogramConfig(),
-    stats: GrowStats = None,
+    stats: Optional[GrowStats] = None,
     trace=None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Fig. 6's ``BuildQVWH``: incremental variable-width construction.
 
     Produces 128-bit QC16T8x6+1F7x9 buckets; the evaluation's ``V8Dinc``
     (``bounded_search=False``) and ``V8DincB`` (``True``) variants.
     ``trace`` (a :class:`repro.obs.Trace`) accumulates per-phase timings
-    and counters; ``None`` disables instrumentation.  ``cache`` lets
-    callers share one :class:`AcceptanceCache` across builds over the
-    same density.
+    and counters; ``None`` disables instrumentation.
     """
     trace = trace if trace is not None else NULL_TRACE
     if not density.is_dense:
@@ -297,15 +204,11 @@ def build_qvwh(
     q = config.q
     d = density.n_distinct
     buckets: List[VariableWidthBucket] = []
-    if cache is None:
-        cache = AcceptanceCache() if config.kernel == "vectorized" else None
-    use_oracle = config.oracle_search
     packing = trace.timer("packing")
     b = 0
     while b < d:
         widths, totals, b = _grow_bucket(
-            density, b, theta, q, config.bounded_search, stats=stats, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, b, theta, q, config.bounded_search, stats=stats, trace=trace
         )
         with packing:
             buckets.append(VariableWidthBucket.build(b - sum(widths), widths, totals))
@@ -318,7 +221,6 @@ def build_atomic_dense(
     density: AttributeDensity,
     config: HistogramConfig = HistogramConfig(),
     trace=None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Atomic (bucklet-less) histograms: the ``1Dinc[B]`` variants.
 
@@ -332,15 +234,11 @@ def build_atomic_dense(
     q = config.q
     d = density.n_distinct
     buckets: List[AtomicDenseBucket] = []
-    if cache is None:
-        cache = AcceptanceCache() if config.kernel == "vectorized" else None
-    use_oracle = config.oracle_search
     packing = trace.timer("packing")
     b = 0
     while b < d:
         m = grow_bucklet(
-            density, b, d - b, theta, q, bounded=config.bounded_search, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, b, d - b, theta, q, bounded=config.bounded_search, trace=trace
         )
         m = max(m, 1)
         with packing:
@@ -363,9 +261,7 @@ def grow_span_buckets(
     theta: float,
     q: float,
     bounded: bool = True,
-    cache: Optional[AcceptanceCache] = None,
     trace=NULL_TRACE,
-    use_oracle: bool = True,
 ) -> List[VariableWidthBucket]:
     """Variable-width buckets covering ``[lo, hi)`` of the *full* density.
 
@@ -374,15 +270,14 @@ def grow_span_buckets(
     recurrence only reads cumulated-frequency differences inside the
     span, and the Corollary 4.2 window is clamped at the span start
     either way.  Running on the full density lets repair share the
-    column's index and :class:`AcceptanceCache` across attempts instead
-    of re-slicing and re-summing per damaged range.
+    column's prefix sums across every damaged range instead of
+    re-slicing and re-summing per range.
     """
     buckets: List[VariableWidthBucket] = []
     b = lo
     while b < hi:
         widths, totals, b = _grow_bucket(
-            density, b, theta, q, bounded, cache=cache, trace=trace,
-            stop=hi, use_oracle=use_oracle,
+            density, b, theta, q, bounded, trace=trace, stop=hi
         )
         buckets.append(VariableWidthBucket.build(b - sum(widths), widths, totals))
     return buckets
@@ -395,9 +290,7 @@ def grow_span_atomic(
     theta: float,
     q: float,
     bounded: bool = True,
-    cache: Optional[AcceptanceCache] = None,
     trace=NULL_TRACE,
-    use_oracle: bool = True,
 ) -> List[AtomicDenseBucket]:
     """Atomic buckets covering ``[lo, hi)`` of the *full* density
     (see :func:`grow_span_buckets`)."""
@@ -405,8 +298,7 @@ def grow_span_atomic(
     b = lo
     while b < hi:
         m = grow_bucklet(
-            density, b, hi - b, theta, q, bounded=bounded, cache=cache,
-            trace=trace, use_oracle=use_oracle,
+            density, b, hi - b, theta, q, bounded=bounded, trace=trace
         )
         m = max(m, 1)
         buckets.append(AtomicDenseBucket.build(b, b + m, density.f_plus(b, b + m)))

@@ -27,7 +27,7 @@ endpoint discretisation.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.histogram import Histogram
 from repro.core.kernels import (
-    AcceptanceCache,
     batch_slope_constraints,
     count_slope_constraints_scalar,
     value_slope_constraints_scalar,
@@ -49,29 +48,6 @@ __all__ = ["grow_value_bucket", "build_value_histogram", "build_value_mixed"]
 # constraint mirrors; wider windows keep the batch kernel (identical
 # arithmetic either way -- this is purely a dispatch-cost threshold).
 _SCALAR_WINDOW = 64
-
-
-class _SlopeBounds:
-    """Feasible interval for a value-space estimation slope."""
-
-    __slots__ = ("lb", "ub")
-
-    def __init__(self) -> None:
-        self.lb = 0.0
-        self.ub = math.inf
-
-    def constrain(self, truth: float, width: float, theta: float, q: float) -> None:
-        """Add the θ,q-acceptability constraint of one query interval."""
-        if width <= 0:
-            return
-        if truth > theta:
-            self.lb = max(self.lb, truth / (q * width))
-            self.ub = min(self.ub, q * truth / width)
-        else:
-            self.ub = min(self.ub, max(theta, q * truth) / width)
-
-    def contains(self, slope: float) -> bool:
-        return self.lb <= slope <= self.ub
 
 
 def _upper_value(density: AttributeDensity, index: int) -> float:
@@ -89,101 +65,22 @@ def grow_value_bucket(
     bounded: bool = True,
     test_distinct: bool = True,
     trace=NULL_TRACE,
-    cache: Optional[AcceptanceCache] = None,
-    use_oracle: bool = False,
 ) -> int:
     """Longest θ,q-acceptable prefix of distinct values from ``start``.
 
     Returns the number of distinct values ``m >= 1`` the bucket absorbs.
     Maintains independent slope bounds for the frequency estimator (α)
     and -- when ``test_distinct`` -- the distinct-count estimator (β).
-
-    With ``use_oracle`` the per-step constraint batches run through the
-    column's :class:`~repro.core.density.DensityIndex` prefix lists and
-    the scalar kernel mirrors (bit-identical bounds, no per-step numpy
-    dispatch for the typical few-interval Corollary 4.2 window); a
-    ``cache`` memoises constraint windows revisited across buckets and
-    builds, under value-space-tagged keys.
+    The per-step constraint batches run the scalar kernel mirrors over
+    the density's Python-list prefix sums and values (no numpy dispatch
+    for the typical few-interval Corollary 4.2 window), and the batch
+    kernel for wide windows; both give bit-identical bounds.
     """
     d = density.n_distinct
     if not 0 <= start < d:
         raise IndexError(f"start {start} out of range")
-    if use_oracle:
-        return _grow_value_oracle(
-            density, start, theta, q, bounded, test_distinct, cache, trace
-        )
-    cum = density.cumulative
-    values = density.values
-    lo_v = float(values[start])
-    acceptance = trace.timer("acceptance_tests")
-
-    freq_bounds = _SlopeBounds()
-    dist_bounds = _SlopeBounds()
-    alpha_min = math.inf
-    m = 0
-    tests = 0
-    scanned = 0
-    try:
-        for m_try in range(1, d - start + 1):
-            j = start + m_try
-            hi_v = _upper_value(density, j)
-            span = hi_v - lo_v
-            total = float(cum[j] - cum[start])
-            alpha = total / span
-            beta = m_try / span
-            # Index-space analogue of the Corollary 4.2 window, using the
-            # most pessimistic per-index density seen so far.
-            idx_alpha = total / m_try
-            alpha_min = min(alpha_min, idx_alpha)
-            if bounded:
-                window = math.ceil(2.0 * theta / alpha_min) + 3
-                i_low = max(start, j - window)
-            else:
-                i_low = start
-            tests += 1
-            scanned += j - i_low
-            w_j = _upper_value(density, j)
-            with acceptance:
-                widths = w_j - np.asarray(values[i_low:j], dtype=np.float64)
-                truths = (cum[j] - cum[i_low:j]).astype(np.float64)
-                lb, ub = batch_slope_constraints(truths, widths, theta, q)
-                freq_bounds.lb = max(freq_bounds.lb, lb)
-                freq_bounds.ub = min(freq_bounds.ub, ub)
-                if test_distinct:
-                    counts = np.arange(j - i_low, 0, -1, dtype=np.float64)
-                    lb_d, ub_d = batch_slope_constraints(counts, widths, theta, q)
-                    dist_bounds.lb = max(dist_bounds.lb, lb_d)
-                    dist_bounds.ub = min(dist_bounds.ub, ub_d)
-            if not freq_bounds.contains(alpha):
-                break
-            if test_distinct and not dist_bounds.contains(beta):
-                break
-            m = m_try
-        return max(m, 1)
-    finally:
-        trace.count("acceptance_tests", tests)
-        trace.count("intervals_scanned", scanned)
-
-
-def _grow_value_oracle(
-    density: AttributeDensity,
-    start: int,
-    theta: float,
-    q: float,
-    bounded: bool,
-    test_distinct: bool,
-    cache: Optional[AcceptanceCache],
-    trace,
-) -> int:
-    """Oracle-path :func:`grow_value_bucket`: same α/β recurrence and the
-    same per-step constraint mathematics, evaluated over the density
-    index's Python-list prefix sums and values.  Every comparison and
-    bound is bit-identical to the classic loop, so the returned ``m``
-    matches exactly."""
-    d = density.n_distinct
-    index = density.ensure_index()
-    cum = index.cum_list
-    values = index.values_list
+    cum = density.cum_list
+    values = density.values_list
     np_cum = density.cumulative
     np_values = density.values
     lo_v = values[start]
@@ -197,16 +94,17 @@ def _grow_value_oracle(
     m = 0
     tests = 0
     scanned = 0
-    cache_hits = 0
     try:
         with trace.timer("acceptance_tests"):
             for m_try in range(1, d - start + 1):
                 j = start + m_try
-                hi_v = values[j] if j < d else past_end
-                span = hi_v - lo_v
+                w_j = values[j] if j < d else past_end
+                span = w_j - lo_v
                 total = float(cum[j] - cum[start])
                 alpha = total / span
                 beta = m_try / span
+                # Index-space analogue of the Corollary 4.2 window, using
+                # the most pessimistic per-index density seen so far.
                 idx_alpha = total / m_try
                 if idx_alpha < alpha_min:
                     alpha_min = idx_alpha
@@ -219,55 +117,27 @@ def _grow_value_oracle(
                     i_low = start
                 tests += 1
                 scanned += j - i_low
-                w_j = hi_v
-                bounds = None
-                key = None
-                if cache is not None:
-                    key = ("v", i_low, j, theta, q)
-                    bounds = cache.lookup_constraints(key)
-                if bounds is None:
-                    if j - i_low <= _SCALAR_WINDOW:
-                        bounds = value_slope_constraints_scalar(
-                            cum, values, i_low, j, w_j, theta, q
-                        )
-                    else:
-                        widths = w_j - np.asarray(
-                            np_values[i_low:j], dtype=np.float64
-                        )
-                        truths = (np_cum[j] - np_cum[i_low:j]).astype(np.float64)
-                        bounds = batch_slope_constraints(truths, widths, theta, q)
-                    if cache is not None:
-                        cache.store_constraints(key, bounds)
+                scalar = j - i_low <= _SCALAR_WINDOW
+                if scalar:
+                    lb, ub = value_slope_constraints_scalar(
+                        cum, values, i_low, j, w_j, theta, q
+                    )
                 else:
-                    cache_hits += 1
-                lb, ub = bounds
+                    widths = w_j - np.asarray(np_values[i_low:j], dtype=np.float64)
+                    truths = (np_cum[j] - np_cum[i_low:j]).astype(np.float64)
+                    lb, ub = batch_slope_constraints(truths, widths, theta, q)
                 if lb > freq_lb:
                     freq_lb = lb
                 if ub < freq_ub:
                     freq_ub = ub
                 if test_distinct:
-                    bounds = None
-                    if cache is not None:
-                        key = ("vd", i_low, j, theta, q)
-                        bounds = cache.lookup_constraints(key)
-                    if bounds is None:
-                        if j - i_low <= _SCALAR_WINDOW:
-                            bounds = count_slope_constraints_scalar(
-                                values, i_low, j, w_j, theta, q
-                            )
-                        else:
-                            widths = w_j - np.asarray(
-                                np_values[i_low:j], dtype=np.float64
-                            )
-                            counts = np.arange(j - i_low, 0, -1, dtype=np.float64)
-                            bounds = batch_slope_constraints(
-                                counts, widths, theta, q
-                            )
-                        if cache is not None:
-                            cache.store_constraints(key, bounds)
+                    if scalar:
+                        lb, ub = count_slope_constraints_scalar(
+                            values, i_low, j, w_j, theta, q
+                        )
                     else:
-                        cache_hits += 1
-                    lb, ub = bounds
+                        counts = np.arange(j - i_low, 0, -1, dtype=np.float64)
+                        lb, ub = batch_slope_constraints(counts, widths, theta, q)
                     if lb > dist_lb:
                         dist_lb = lb
                     if ub < dist_ub:
@@ -282,31 +152,22 @@ def _grow_value_oracle(
         trace.count("acceptance_tests", tests)
         trace.count("search_probes", tests)
         trace.count("intervals_scanned", scanned)
-        if cache_hits:
-            trace.count("acceptance_cache_hits", cache_hits)
 
 
 def build_value_histogram(
     density: AttributeDensity,
     config: HistogramConfig = HistogramConfig(),
     trace=None,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Build a value-based atomic histogram (``1VincB1`` / ``1VincB2``).
 
-    The variant is selected by ``config.test_distinct``.  With
-    ``config.search == "oracle"`` the growth loop runs the scalar
-    constraint mirrors over the shared density index (bit-identical
-    boundaries); ``cache`` shares constraint memos across builds.
+    The variant is selected by ``config.test_distinct``.
     """
     trace = trace if trace is not None else NULL_TRACE
     theta = config.resolve_theta(density.total)
     q = config.q
     d = density.n_distinct
     values = density.values
-    use_oracle = config.oracle_search
-    if cache is None and config.kernel == "vectorized":
-        cache = AcceptanceCache()
     buckets: List[ValueAtomicBucket] = []
     packing = trace.timer("packing")
     s = 0
@@ -319,8 +180,6 @@ def build_value_histogram(
             bounded=config.bounded_search,
             test_distinct=config.test_distinct,
             trace=trace,
-            cache=cache,
-            use_oracle=use_oracle,
         )
         e = s + m
         with packing:
@@ -339,7 +198,6 @@ def build_value_mixed(
     density: AttributeDensity,
     config: HistogramConfig = HistogramConfig(),
     raw_threshold: int = 6,
-    cache: Optional[AcceptanceCache] = None,
 ) -> Histogram:
     """Value-based histogram with QCRawNonDense fallback (Sec. 6.2).
 
@@ -369,10 +227,6 @@ def build_value_mixed(
     # Frequencies beyond the 4-bit raw codec's largest base stay atomic.
     raw_freq_cap = largest_compressible(max(QCRawNonDense.bases), 4)
 
-    use_oracle = config.oracle_search
-    if cache is None and config.kernel == "vectorized":
-        cache = AcceptanceCache()
-
     # Pass 1: grow atomic value buckets as usual.
     spans = []  # (start index, end index)
     s = 0
@@ -384,8 +238,6 @@ def build_value_mixed(
             q,
             bounded=config.bounded_search,
             test_distinct=config.test_distinct,
-            cache=cache,
-            use_oracle=use_oracle,
         )
         spans.append((s, s + m))
         s += m

@@ -29,7 +29,6 @@ from typing import Dict, Optional, Union
 from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.histogram import Histogram
-from repro.core.kernels import AcceptanceCache
 from repro.engine.registry import DEFAULT_REGISTRY, BuilderRegistry, BuilderSpec
 from repro.obs import NULL_TRACE, Span, Trace
 
@@ -60,11 +59,6 @@ class BuildRequest:
     trace: bool = False
     label: Optional[str] = None
     request_id: Optional[str] = None
-    #: Optional shared :class:`AcceptanceCache`.  Callers building several
-    #: histograms over the same density (variant sweeps, repair attempts)
-    #: pass one cache so acceptance decisions and constraint windows carry
-    #: across builds; ``None`` gives each build a private cache.
-    cache: Optional[AcceptanceCache] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,7 +69,6 @@ class BuildContext:
     spec: BuilderSpec
     config: HistogramConfig
     trace: "object"  # Trace or NullTrace
-    cache: Optional[AcceptanceCache] = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,20 +149,10 @@ class BuildPipeline:
             trace = Trace(request.label or f"build[{spec.kind}]")
         else:
             trace = NULL_TRACE
-        cache = request.cache
-        if cache is None and config.kernel == "vectorized":
-            cache = AcceptanceCache()
-        context = BuildContext(
-            request=request, spec=spec, config=config, trace=trace, cache=cache
-        )
+        context = BuildContext(request=request, spec=spec, config=config, trace=trace)
         t0 = perf_counter()
         with trace.span("density_scan"):
             density = _as_density(request.source, spec.value_domain)
-            if config.oracle_search and not density.has_index:
-                # Attribute the one-time prefix-structure build to the
-                # scan phase, where it belongs (it is a column-level
-                # artefact, not part of the bucket search).
-                density.ensure_index()
         with trace.span("bucket_search"):
             histogram = spec.construct(density, context)
         seconds = perf_counter() - t0

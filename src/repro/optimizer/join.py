@@ -12,9 +12,11 @@ This module implements the conventional technique over our histograms:
     |R ⋈_A S|  =  Σ_v  f_R(v) · f_S(v)
 
 approximated by integrating the product of the two histograms' density
-functions over the shared (dictionary-code) domain.  Both histograms are
-compiled to piecewise-constant densities (:mod:`repro.core.batch`), so
-the integral is an exact sum over the merged segment boundaries.
+functions over the shared (dictionary-code) domain.  Both histograms'
+compiled plans give piecewise-linear cumulative-mass functions
+(:meth:`~repro.core.compiled.CompiledHistogram.fine_segments`), i.e.
+piecewise-constant densities, so the integral is an exact sum over the
+merged segment boundaries.
 
 Error bound: if both factors are q-acceptable per value region, the
 product is q_R·q_S-acceptable (Sec. 2.3); within-bucket value-alignment
@@ -27,16 +29,20 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.batch import CompiledHistogram, compile_histogram
 from repro.core.histogram import Histogram
 
 __all__ = ["estimate_equijoin", "join_qerror_bound"]
 
 
-def _segments(compiled: CompiledHistogram) -> Tuple[np.ndarray, np.ndarray]:
-    """(edges, densities) of a compiled histogram's mass function."""
-    edges = compiled._edges
-    masses = compiled._masses
+def _segments(histogram: Histogram) -> Tuple[np.ndarray, np.ndarray]:
+    """(edges, densities) of the histogram's compiled mass function.
+
+    Raises :class:`TypeError` for bucket types without a plan emitter.
+    """
+    plan = histogram.plan()
+    if plan is None:
+        raise TypeError(f"histogram {histogram.kind!r} cannot be compiled")
+    edges, masses = plan.fine_segments()
     widths = np.maximum(np.diff(edges), 1e-300)
     densities = np.diff(masses) / widths
     return edges, densities
@@ -52,10 +58,8 @@ def estimate_equijoin(left: Histogram, right: Histogram) -> float:
     """
     if left.domain != "code" or right.domain != "code":
         raise ValueError("join estimation needs code-domain histograms")
-    compiled_left = compile_histogram(left)
-    compiled_right = compile_histogram(right)
-    edges_l, dens_l = _segments(compiled_left)
-    edges_r, dens_r = _segments(compiled_right)
+    edges_l, dens_l = _segments(left)
+    edges_r, dens_r = _segments(right)
 
     lo = max(edges_l[0], edges_r[0])
     hi = min(edges_l[-1], edges_r[-1])

@@ -204,6 +204,15 @@ class TestCompiledSurface:
         assert clone._plan is None and clone._plan_failed is False
         assert clone.estimate(10.0, 50.0) == histogram.estimate(10.0, 50.0)
 
+    def test_fine_segments_are_monotone(self, rng):
+        # The join estimator integrates this view's slopes as densities.
+        column = _columns(rng)["zipf"]
+        histogram = build_histogram(column, kind="V8DincB", config=CONFIG)
+        edges, masses = histogram.plan().fine_segments()
+        assert edges[0] == histogram.lo and edges[-1] == histogram.hi
+        assert np.all(np.diff(edges) >= 0)
+        assert np.all(np.diff(masses) >= 0)
+
     def test_code_domain_distinct_batch_is_range_width(self, rng):
         column = _columns(rng)["uniform"]
         histogram = build_histogram(column, kind="V8Dinc", config=CONFIG)
@@ -230,15 +239,13 @@ class TestDecodeOnce:
         decoded = COMPILE_COUNTERS.get("layout_decodes") - before
         assert decoded == len(histogram)
         # Nothing afterwards decodes again: not estimates, not a second
-        # plan() call, not the legacy batch compiler.
-        from repro.core.batch import compile_histogram
-
+        # plan() call, not the join estimator's segment view.
         histogram.estimate(histogram.lo + 0.5, histogram.hi - 0.5)
         histogram.estimate_batch(
             np.array([histogram.lo]), np.array([histogram.hi])
         )
         assert histogram.plan() is plan
-        compile_histogram(histogram)
+        plan.fine_segments()
         assert COMPILE_COUNTERS.get("layout_decodes") - before == decoded
         for bucket in histogram.buckets:
             assert bucket._bucklets is not None

@@ -5,11 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.acceptance import (
-    is_theta_q_acceptable,
-    pretest_dense,
-    subquadratic_test,
-)
+from repro.core.acceptance import pretest_dense, subquadratic_test
+from repro.core.config import HistogramConfig
 from repro.core.density import AttributeDensity
 from repro.core.kernels import (
     AcceptanceCache,
@@ -19,6 +16,7 @@ from repro.core.kernels import (
     subquadratic_test_vectorized,
 )
 from repro.core.qerror import theta_q_acceptable
+from repro.core.search import AcceptanceOracle
 
 small_freqs = st.lists(st.integers(1, 500), min_size=2, max_size=40)
 
@@ -192,12 +190,19 @@ class TestSlopeConstraints:
 
 
 class TestAcceptanceCache:
-    def test_decision_memoised(self, spiky_density):
+    def test_decision_memoised(self):
+        # Pretest fails (min f < alpha / q) but both extremes sit inside
+        # the theta-box: only the grid can decide, once.
+        density = AttributeDensity([1, 9, 9, 9])
         cache = AcceptanceCache()
-        first = is_theta_q_acceptable(spiky_density, 0, 200, 10, 2.0, cache=cache)
+        config = HistogramConfig(theta=10.0, q=2.0)
+        oracle = AcceptanceOracle(density, 10.0, 2.0, config, cache=cache)
+        pending = oracle.probe(0, 4, 1, float("inf"))
+        assert isinstance(pending, list) and len(pending) == 1
         assert cache.misses == 1 and cache.hits == 0
-        second = is_theta_q_acceptable(spiky_density, 0, 200, 10, 2.0, cache=cache)
-        assert first == second
+        (first,) = oracle.resolve(pending)
+        second = oracle.probe(0, 4, 1, float("inf"))
+        assert second is first
         assert cache.hits == 1
         assert len(cache) == 1
 
@@ -221,17 +226,3 @@ class TestAcceptanceCache:
         assert cache.decision_key(0, 7, 5.0, 2.0, a1) == cache.decision_key(
             0, 7, 5.0, 2.0, a2
         )
-
-    def test_constraints_memoised(self):
-        density = AttributeDensity([4, 8, 2, 16, 1])
-        cache = AcceptanceCache()
-        cum = density.cumulative
-        first = cache.constraints(cum, 0, 4, 2.0, 2.0)
-        second = cache.constraints(cum, 0, 4, 2.0, 2.0)
-        assert first == second
-        assert cache.hits == 1 and cache.misses == 1
-        assert first == slope_constraints(cum, 0, 4, 2.0, 2.0)
-
-    def test_unknown_kernel_rejected(self, smooth_density):
-        with pytest.raises(ValueError):
-            is_theta_q_acceptable(smooth_density, 0, 10, 0, 2.0, kernel="magic")

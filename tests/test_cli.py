@@ -122,21 +122,13 @@ class TestCommands:
         assert set(catalog.entries()) == {("orders", "customer"), ("orders", "amount")}
 
     def test_build_table_kernel_flag(self, tmp_path, rng, capsys):
+        # There is one acceptance kernel and no flag to pick another.
         data = tmp_path / "c.npy"
         np.save(data, rng.integers(0, 300, size=10_000))
-        code = main(
-            [
-                "build-table",
-                str(data),
-                str(tmp_path / "cat"),
-                "--executor",
-                "serial",
-                "--kernel",
-                "literal",
-            ]
-        )
-        assert code == 0
-        assert "kernel=literal" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build-table", str(data), str(tmp_path / "cat"), "--kernel", "literal"])
+        assert exit_info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
 
     def test_build_table_empty_directory_is_error(self, tmp_path, capsys):
         empty = tmp_path / "empty"
